@@ -71,7 +71,7 @@ func (f *flow) deterministicBatched() {
 	// block at each snapshot then stays incremental (only the lane words
 	// that gained patterns re-simulate) instead of paying a full-width good
 	// simulation per round.
-	f.resim = fault.NewSimulatorCompiled(f.comp)
+	f.resim = fault.NewSimulatorCompiledWords(f.comp, 1)
 
 	capHint := depth
 	if capHint > len(f.faults) {

@@ -194,7 +194,7 @@ func Run(n *circuit.Netlist, lfsrLen, misrLen int, seed uint64, nPatterns int) (
 		good.Absorb(row)
 	}
 
-	fsim := fault.NewSimulatorCompiled(comp)
+	fsim := fault.NewSimulatorCompiledWords(comp, 1)
 	faults := fault.Universe(n)
 	res := &Result{
 		Patterns:      patterns.N,

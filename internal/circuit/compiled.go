@@ -2,8 +2,6 @@ package circuit
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -19,10 +17,7 @@ import (
 // Immutability contract: after Compile returns, no field of Compiled is ever
 // written again; every slice may be read concurrently from any number of
 // goroutines without synchronization. Callers must treat all exported slices
-// as read-only. The only internal mutable state is the lazy fanout-cone
-// cache, which is concurrency-safe (per-gate atomic publication of
-// immutable slices; racing builders compute identical cones, so last-write
-// wins is benign).
+// as read-only. Compiled holds no mutable state at all.
 type Compiled struct {
 	Net *Netlist
 
@@ -51,9 +46,9 @@ type Compiled struct {
 
 	// Depth is the number of logic levels (PIs at level 0 count as one).
 	Depth int
-
-	// cones caches per-gate fanout cones (computed lazily by Cone).
-	cones []atomic.Pointer[[]int32]
+	// MaxFanin is the largest fanin count of any gate; simulators size
+	// their per-gate fanin scratch from it.
+	MaxFanin int
 }
 
 // compileCount tracks the total number of Compile calls in this process; a
@@ -92,7 +87,6 @@ func Compile(n *Netlist) (*Compiled, error) {
 		PIPos:     make([]int32, ng),
 		POIdx:     make([]int32, ng),
 		Depth:     n.Depth(),
-		cones:     make([]atomic.Pointer[[]int32], ng),
 	}
 	nIn, nOut := 0, 0
 	for _, g := range n.Gates {
@@ -109,6 +103,7 @@ func Compile(n *Netlist) (*Compiled, error) {
 		for _, f := range g.Fanin {
 			c.FaninDat = append(c.FaninDat, int32(f))
 		}
+		c.MaxFanin = max(c.MaxFanin, len(g.Fanin))
 		c.FaninOff[g.ID+1] = int32(len(c.FaninDat))
 		for _, fo := range g.Fanout {
 			c.FanoutDat = append(c.FanoutDat, int32(fo))
@@ -165,58 +160,4 @@ func (c *Compiled) Fanin(id int) []int32 {
 // CSR storage.
 func (c *Compiled) Fanout(id int) []int32 {
 	return c.FanoutDat[c.FanoutOff[id]:c.FanoutOff[id+1]]
-}
-
-// coneScratch pools the per-construction scratch used by Cone so cache
-// misses do not allocate visited bitmaps proportional to circuit size on
-// every call.
-var coneScratch = sync.Pool{New: func() any { return &coneBuf{} }}
-
-type coneBuf struct {
-	visit []uint32
-	epoch uint32
-	stack []int32
-	pos   []int32
-}
-
-// Cone returns the structural fanout cone of gate id — every gate reachable
-// from id through fanout edges, including id itself — in topological order.
-// Cones are computed lazily and cached; the cache is concurrency-safe and
-// the returned slice is immutable (callers must not modify it). Racing
-// goroutines may build the same cone twice, but both builds are identical,
-// so publication order is irrelevant.
-func (c *Compiled) Cone(id int) []int32 {
-	if p := c.cones[id].Load(); p != nil {
-		return *p
-	}
-	sc := coneScratch.Get().(*coneBuf)
-	if len(sc.visit) < len(c.Types) {
-		sc.visit = make([]uint32, len(c.Types))
-		sc.epoch = 0
-	}
-	sc.epoch++
-	ve := sc.epoch
-	sc.visit[id] = ve
-	stack := append(sc.stack[:0], int32(id))
-	pos := sc.pos[:0]
-	for len(stack) > 0 {
-		g := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		pos = append(pos, c.Tpos[g])
-		for _, fo := range c.Fanout(int(g)) {
-			if sc.visit[fo] != ve {
-				sc.visit[fo] = ve
-				stack = append(stack, fo)
-			}
-		}
-	}
-	slices.Sort(pos)
-	cone := make([]int32, len(pos))
-	for i, tp := range pos {
-		cone[i] = c.Order[tp]
-	}
-	sc.stack, sc.pos = stack, pos // keep grown capacity for the next miss
-	coneScratch.Put(sc)
-	c.cones[id].Store(&cone)
-	return cone
 }

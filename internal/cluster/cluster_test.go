@@ -136,7 +136,7 @@ func TestClusterDetectBitIdentical(t *testing.T) {
 				for i := 0; i < cb.workers; i++ {
 					startWorker(t, lb, "w")
 				}
-				got, err := c.Detect(testCtx(t), tc.n, p, faults, cb.words)
+				got, err := c.DetectOpt(testCtx(t), tc.n, p, faults, cb.words, JobOptions{})
 				if err != nil {
 					t.Fatalf("workers=%d shard=%d words=%d: %v", cb.workers, cb.shardFaults, cb.words, err)
 				}
@@ -178,7 +178,7 @@ func TestClusterDictionaryBitIdentical(t *testing.T) {
 				for i := 0; i < cb.workers; i++ {
 					startWorker(t, lb, "w")
 				}
-				got, err := c.Dictionary(testCtx(t), tc.n, p, faults, cb.words)
+				got, err := c.DictionaryOpt(testCtx(t), tc.n, p, faults, cb.words, JobOptions{})
 				if err != nil {
 					t.Fatalf("workers=%d shard=%d words=%d: %v", cb.workers, cb.shardWords, cb.words, err)
 				}
@@ -199,7 +199,7 @@ func TestClusterSequentialJobs(t *testing.T) {
 	startWorker(t, lb, "b")
 
 	p1 := testPatterns(n, 130, 1)
-	got1, err := c.Detect(testCtx(t), n, p1, faults, 2)
+	got1, err := c.DetectOpt(testCtx(t), n, p1, faults, 2, JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +210,14 @@ func TestClusterSequentialJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotD, err := c.Dictionary(testCtx(t), n, p2, faults, 1)
+	gotD, err := c.DictionaryOpt(testCtx(t), n, p2, faults, 1, JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareSigs(t, gotD, sim.Dictionary(p2, faults))
 
 	p3 := testPatterns(n, 70, 3)
-	got3, err := c.Detect(testCtx(t), n, p3, faults, 8)
+	got3, err := c.DetectOpt(testCtx(t), n, p3, faults, 8, JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestClusterWorkerKilledMidJob(t *testing.T) {
 		cancelVictim()
 	}()
 
-	got, err := c.Detect(testCtx(t), n, p, faults, 4)
+	got, err := c.DetectOpt(testCtx(t), n, p, faults, 4, JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestClusterStragglerRedispatchAndDuplicateDiscard(t *testing.T) {
 	}
 	out := make(chan detectOut, 1)
 	go func() {
-		res, err := c.Detect(testCtx(t), n, p, faults, 1)
+		res, err := c.DetectOpt(testCtx(t), n, p, faults, 1, JobOptions{})
 		out <- detectOut{res, err}
 	}()
 
@@ -410,7 +410,7 @@ func TestClusterSetupRejectionFailsJob(t *testing.T) {
 
 	out := make(chan error, 1)
 	go func() {
-		_, err := c.Detect(testCtx(t), n, p, faults, 1)
+		_, err := c.DetectOpt(testCtx(t), n, p, faults, 1, JobOptions{})
 		out <- err
 	}()
 	ft, payload := raw.read()
@@ -441,7 +441,7 @@ func TestClusterNoWorkersHonorsContext(t *testing.T) {
 	c, _ := startCoordinator(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if _, err := c.Detect(ctx, n, p, faults, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.DetectOpt(ctx, n, p, faults, 1, JobOptions{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 }
@@ -454,11 +454,11 @@ func TestClusterEmptyJobShortCircuits(t *testing.T) {
 	c, _ := startCoordinator(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	res, err := c.Detect(ctx, n, testPatterns(n, 70, 61), nil, 1)
+	res, err := c.DetectOpt(ctx, n, testPatterns(n, 70, 61), nil, 1, JobOptions{})
 	if err != nil || res.Total != 0 || res.Detected != 0 {
 		t.Fatalf("empty detect: %+v, %v", res, err)
 	}
-	sigs, err := c.Dictionary(ctx, n, logic.NewPatternSet(len(n.PIs), 0), fault.Universe(n), 1)
+	sigs, err := c.DictionaryOpt(ctx, n, logic.NewPatternSet(len(n.PIs), 0), fault.Universe(n), 1, JobOptions{})
 	if err != nil || len(sigs) != len(fault.Universe(n)) {
 		t.Fatalf("empty dictionary: %d sigs, %v", len(sigs), err)
 	}
@@ -470,11 +470,11 @@ func TestClusterRejectsMismatchedJob(t *testing.T) {
 	n := circuit.RippleAdder(2)
 	c, _ := startCoordinator(t, Config{})
 	ctx := testCtx(t)
-	if _, err := c.Detect(ctx, n, logic.NewPatternSet(len(n.PIs)+1, 8), fault.Universe(n), 1); err == nil {
+	if _, err := c.DetectOpt(ctx, n, logic.NewPatternSet(len(n.PIs)+1, 8), fault.Universe(n), 1, JobOptions{}); err == nil {
 		t.Error("mismatched pattern width accepted")
 	}
 	bad := []fault.Fault{{Gate: len(n.Gates) + 5, Pin: -1, SA: 0}}
-	if _, err := c.Detect(ctx, n, testPatterns(n, 8, 1), bad, 1); err == nil {
+	if _, err := c.DetectOpt(ctx, n, testPatterns(n, 8, 1), bad, 1, JobOptions{}); err == nil {
 		t.Error("out-of-range fault accepted")
 	}
 }

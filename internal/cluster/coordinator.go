@@ -87,8 +87,8 @@ type Stats struct {
 
 // Coordinator partitions fault-simulation jobs into shards and drives them
 // to completion over any number of workers. One job runs at a time;
-// concurrent Detect/Dictionary calls serialize. Workers may join and leave
-// at any point during a job.
+// concurrent DetectOpt/DictionaryOpt calls serialize. Workers may join and
+// leave at any point during a job.
 type Coordinator struct {
 	cfg Config
 
@@ -216,18 +216,14 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
-// Detect distributes a fault-detection run (the fault.RunConcurrentWords
+// DetectOpt distributes a fault-detection run (the fault.RunConcurrentWords
 // workload) over the connected workers: the fault list splits into
 // contiguous shards, each simulated remotely with per-shard dropping.
 // The result is bit-identical to fault.RunSerial on the same inputs for
 // any worker count, shard size and failure schedule, because a fault's
 // first-detection index depends only on (circuit, patterns, fault) and
-// shard merges write disjoint DetectedBy ranges.
-func (c *Coordinator) Detect(ctx context.Context, n *circuit.Netlist, p *logic.PatternSet, faults []fault.Fault, words int) (*fault.Result, error) {
-	return c.DetectOpt(ctx, n, p, faults, words, JobOptions{})
-}
-
-// DetectOpt is Detect with checkpoint/resume options.
+// shard merges write disjoint DetectedBy ranges. opt carries the
+// checkpoint/resume options; the zero value runs without a journal.
 func (c *Coordinator) DetectOpt(ctx context.Context, n *circuit.Netlist, p *logic.PatternSet, faults []fault.Fault, words int, opt JobOptions) (*fault.Result, error) {
 	if err := validateJob(n, p, faults); err != nil {
 		return nil, err
@@ -256,18 +252,14 @@ func (c *Coordinator) DetectOpt(ctx context.Context, n *circuit.Netlist, p *logi
 	return res, nil
 }
 
-// Dictionary distributes a full-response dictionary build (the
+// DictionaryOpt distributes a full-response dictionary build (the
 // fault.DictionaryConcurrentWords workload): pattern-word column ranges
 // shard across workers, each filling the signature columns of its range
 // for every fault. Distinct shards write disjoint signature storage — the
 // same disjoint-column scheme that makes the in-process concurrent build
 // bit-identical — so the merged dictionary equals Simulator.Dictionary
 // word for word regardless of worker count, shard size or dispatch order.
-func (c *Coordinator) Dictionary(ctx context.Context, n *circuit.Netlist, p *logic.PatternSet, faults []fault.Fault, words int) ([]*fault.Signature, error) {
-	return c.DictionaryOpt(ctx, n, p, faults, words, JobOptions{})
-}
-
-// DictionaryOpt is Dictionary with checkpoint/resume options.
+// opt carries the checkpoint/resume options as for DetectOpt.
 func (c *Coordinator) DictionaryOpt(ctx context.Context, n *circuit.Netlist, p *logic.PatternSet, faults []fault.Fault, words int, opt JobOptions) ([]*fault.Signature, error) {
 	if err := validateJob(n, p, faults); err != nil {
 		return nil, err

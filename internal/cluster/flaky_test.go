@@ -52,7 +52,7 @@ func flakyJob(t *testing.T) (*circuit.Netlist, []fault.Fault, *fault.Result, fun
 	p := testPatterns(n, 130, 71)
 	want := serialDetect(t, n, p, faults)
 	run := func(c *Coordinator) *fault.Result {
-		got, err := c.Detect(testCtx(t), n, p, faults, 2)
+		got, err := c.DetectOpt(testCtx(t), n, p, faults, 2, JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestFlakyRandomScheduleConverges(t *testing.T) {
 		d := chaos.NewSeededDialer(lb.Dial, chaos.Split(99, uint64(2+i)), 2, 5, w)
 		startWorkerDial(t, d.Dial, fmt.Sprintf("flaky-%d", i))
 	}
-	got, err := c.Detect(testCtx(t), n, p, faults, 4)
+	got, err := c.DetectOpt(testCtx(t), n, p, faults, 4, JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,13 @@ type AgingSTAReport struct {
 }
 
 // WorkloadProfile estimates each gate's signal probability (fraction of
-// time the output is high) and toggle activity from a random workload
-// sample.
+// time the output is high) and toggle activity (output changes per applied
+// pattern) from a random workload sample. The sample is applied in order,
+// starting from the all-zero input, and a gate toggles at pattern k when
+// its settled value differs from its value at pattern k-1. Both statistics
+// come from one pass of the bit-parallel simulator: within a 64-pattern
+// word, pattern k's predecessor is the bit below it, and the carry holds
+// the last pattern of the previous word.
 func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activity []float64, err error) {
 	ps, err := sim.New(n)
 	if err != nil {
@@ -65,7 +70,14 @@ func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activi
 	p := logic.NewPatternSet(len(n.PIs), int(patterns))
 	p.RandFill(rng.Uint64)
 	ones := make([]int, len(n.Gates))
+	toggles := make([]int, len(n.Gates))
 	pi := make([]logic.Word, len(n.PIs))
+	// carry[g] is gate g's value under the pattern before the current word;
+	// it starts from the all-zero input.
+	carry := make([]logic.Word, len(n.Gates))
+	for g, v := range ps.Block(pi) {
+		carry[g] = v & 1
+	}
 	for w := 0; w < p.Words(); w++ {
 		for i := range pi {
 			pi[i] = p.Bits[i][w]
@@ -74,26 +86,15 @@ func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activi
 		mask := p.TailMask(w)
 		for g, v := range vals {
 			ones[g] += logic.PopCount(v & mask)
+			toggles[g] += logic.PopCount((v ^ (v<<1 | carry[g])) & mask)
+			carry[g] = v >> (logic.WordBits - 1)
 		}
 	}
 	probHigh = make([]float64, len(n.Gates))
+	activity = make([]float64, len(n.Gates))
 	for g := range probHigh {
 		probHigh[g] = float64(ones[g]) / float64(p.N)
-	}
-	es, err := sim.NewEvent(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	seq := make([][]bool, p.N)
-	for k := 0; k < p.N; k++ {
-		seq[k] = p.Pattern(k)
-	}
-	activity = es.ActivityProfile(seq)
-	for g, a := range activity {
-		if a > 1 {
-			activity[g] = 1
-		}
-		_ = a
+		activity[g] = float64(toggles[g]) / float64(p.N)
 	}
 	return probHigh, activity, nil
 }

@@ -9,17 +9,11 @@ import (
 	"repro/internal/parallel"
 )
 
-// RunConcurrent fault-simulates the pattern set across multiple goroutines
-// with single-word (W=1) simulators. See RunConcurrentWords.
-func RunConcurrent(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, workers int) (*Result, error) {
-	return RunConcurrentWords(n, p, faults, workers, 1)
-}
-
 // RunConcurrentWords fault-simulates the pattern set across multiple
 // goroutines, splitting the fault list into contiguous shards; each worker
 // packs words pattern words per pass (normalized to {1,2,4,8}). The netlist
 // is compiled exactly once; every worker gets a cheap Simulator over the
-// shared immutable IR (and therefore shares the fanout-cone cache). Results
+// shared immutable IR. Results
 // are identical to Simulator.Run for any worker count and any lane width
 // (fault dropping happens within each shard, and detection indices do not
 // depend on other faults). workers <= 0 selects GOMAXPROCS.
@@ -73,12 +67,6 @@ func RunConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults []Fault,
 		res.Coverage = float64(res.Detected) / float64(res.Total)
 	}
 	return res, nil
-}
-
-// DictionaryConcurrent builds full-response signatures with single-word
-// (W=1) simulators. See DictionaryConcurrentWords.
-func DictionaryConcurrent(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, workers int) ([]*Signature, error) {
-	return DictionaryConcurrentWords(n, p, faults, workers, 1)
 }
 
 // DictionaryConcurrentWords builds the same full-response signatures as

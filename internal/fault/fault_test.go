@@ -324,7 +324,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	}
 	want := fsim.Run(p, faults)
 	for _, workers := range []int{0, 1, 2, 4, 7} {
-		got, err := RunConcurrent(c, p, faults, workers)
+		got, err := RunConcurrentWords(c, p, faults, workers, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 func TestConcurrentMoreWorkersThanFaults(t *testing.T) {
 	c := circuit.MustC17()
 	faults := Universe(c)[:3]
-	got, err := RunConcurrent(c, logic.Exhaustive(5), faults, 64)
+	got, err := RunConcurrentWords(c, logic.Exhaustive(5), faults, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

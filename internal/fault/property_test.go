@@ -171,7 +171,7 @@ func TestDictionaryConcurrentBitIdentical(t *testing.T) {
 		p.RandFill(rng.Uint64)
 		want := fsim.Dictionary(p, faults)
 		for _, workers := range []int{1, 2, 3, 8} {
-			got, err := DictionaryConcurrent(c, p, faults, workers)
+			got, err := DictionaryConcurrentWords(c, p, faults, workers, 1)
 			if err != nil {
 				return false
 			}

@@ -64,7 +64,8 @@ type Simulator struct {
 	// faulty-or-good selection in the hot loop.
 	undoIdx []int32
 	undoVal []logic.Word
-	dirty   []int32 // scratch: PO indices touched by the last detectLanes
+	dirty   []int32      // scratch: PO indices touched by the last detectLanes
+	fanin   []logic.Word // scratch: one gate's fanin lanes (MaxFanin*W)
 	piBuf   []logic.Word
 
 	// Staged-probe state (Stage/Probe): the lane count and tail masks of the
@@ -94,18 +95,11 @@ func NewSimulatorWords(n *circuit.Netlist, words int) (*Simulator, error) {
 	return NewSimulatorCompiledWords(c, words), nil
 }
 
-// NewSimulatorCompiled builds a single-word (W=1) fault simulator over an
-// already-compiled IR, allocating only the per-instance mutable scratch.
-// The concurrent drivers (RunConcurrent, DictionaryConcurrent) use this to
-// hand every worker goroutine the same graph.
-func NewSimulatorCompiled(c *circuit.Compiled) *Simulator {
-	return NewSimulatorCompiledWords(c, 1)
-}
-
 // NewSimulatorCompiledWords builds a W-word fault simulator over an
-// already-compiled IR. words is normalized to {1,2,4,8}; all widths share
-// the IR and its cone cache, so simulators of different widths over one
-// graph are cheap.
+// already-compiled IR, allocating only the per-instance mutable scratch.
+// words is normalized to {1,2,4,8}. The concurrent drivers
+// (RunConcurrentWords, DictionaryConcurrentWords) use it to hand every
+// worker goroutine the same graph.
 func NewSimulatorCompiledWords(c *circuit.Compiled, words int) *Simulator {
 	w := NormalizeWords(words)
 	return &Simulator{
@@ -114,6 +108,7 @@ func NewSimulatorCompiledWords(c *circuit.Compiled, words int) *Simulator {
 		w:     w,
 		good:  sim.NewWideCompiled(c, w),
 		front: make([]uint64, (c.NumGates()+63)/64),
+		fanin: make([]logic.Word, c.MaxFanin*w),
 	}
 }
 
@@ -191,8 +186,7 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 			v = vals[sbase] // pseudo-PIs have no evaluable fanin
 		} else {
 			fanin := c.Fanin(site)
-			var faninBuf [maxFanin]logic.Word
-			in := faninBuf[:len(fanin)]
+			in := s.fanin[:len(fanin)]
 			for pin, fi := range fanin {
 				if pin == f.Pin {
 					in[pin] = force // input-branch fault
@@ -300,7 +294,7 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 
 	// Multi-lane path: lanes of a gate are contiguous in the strided
 	// buffer, so gathers and undo snapshots are plain copies.
-	var faninBuf [maxFanin * MaxWords]logic.Word
+	faninBuf := s.fanin
 	var vbuf, dbuf [MaxWords]logic.Word
 	sbase := site*W + lo
 	v := vbuf[:act]
@@ -398,10 +392,6 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 	s.dirty = dirty
 	return dirty
 }
-
-// maxFanin bounds the per-gate fanin scratch of the hot loop; it matches
-// the single-word engine's historical faninBuf bound.
-const maxFanin = 8
 
 // Result summarizes a fault simulation run.
 type Result struct {
@@ -671,7 +661,7 @@ func newSignatures(nFaults, nPOs, words int) []*Signature {
 // words and injects every fault once, writing all act columns from a single
 // cone walk. Signatures must have been allocated (zeroed) for the full word
 // range; distinct blocks touch disjoint storage, which is what makes
-// DictionaryConcurrent's block-sharded merge bit-identical to the serial
+// DictionaryConcurrentWords' block-sharded merge bit-identical to the serial
 // run. pi and perPO are caller scratch of len(PIs)*W and len(POs)*W; perPO
 // must be zero on entry and is left zero on return (only the touched PO
 // lanes are written and cleared, so sparse signatures never pay a full

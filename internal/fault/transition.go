@@ -64,18 +64,6 @@ type TransitionResult struct {
 	Coverage   float64
 }
 
-// SimulateTransitions runs two-pattern transition-fault simulation over all
-// consecutive pattern pairs of the set with the default worker count.
-func SimulateTransitions(n *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault) (*TransitionResult, error) {
-	return SimulateTransitionsWords(n, p, faults, 0, 1)
-}
-
-// SimulateTransitionsWorkers is SimulateTransitionsWords with single-word
-// (W=1) dictionary simulators.
-func SimulateTransitionsWorkers(n *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault, workers int) (*TransitionResult, error) {
-	return SimulateTransitionsWords(n, p, faults, workers, 1)
-}
-
 // SimulateTransitionsWords runs two-pattern transition-fault simulation
 // over all consecutive pattern pairs of the set. It composes the existing
 // engines: good-value simulation supplies the initialization condition, and

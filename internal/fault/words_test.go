@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -184,6 +185,104 @@ func TestMultiWordMatchesFullResimOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWideFaninMatchesFullResim is the regression test for gates with more
+// than eight fanins: the fanin scratch of the good-value and fault engines
+// is sized from the compiled IR, so 9- to 16-input gates must simulate at
+// every lane width. The NOT on a keeps a's branch faults alive through
+// collapsing, which exercises the branch-fault site evaluation. Every lane
+// of every uncollapsed fault must equal the full re-simulation oracle, both
+// from one packed walk and lane by lane through the scalar path, and Run
+// must match the one-pattern-at-a-time baseline at every width.
+func TestWideFaninMatchesFullResim(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&src, "INPUT(a%d)\n", i)
+	}
+	src.WriteString(`OUTPUT(y)
+OUTPUT(p)
+OUTPUT(x)
+OUTPUT(z)
+p = AND(a0, a1, a2, a3, a4, a5, a6, a7, a8)
+q = NOR(a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11)
+x = XOR(a3, a4, a5, a6, a7, a8, a9, a10, a11, a12)
+r = OR(a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15)
+y = NAND(p, q, x, r, a13, a14, a15, a0, a1)
+z = NOT(a0)
+`)
+	c, err := circuit.ParseBenchString(src.String(), "widefanin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := Universe(c)
+	gsim, err := sim.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, words := range laneWidths {
+		fsim, err := NewSimulatorWords(c, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		W := fsim.Words()
+		p := logic.NewPatternSet(len(c.PIs), W*logic.WordBits)
+		// Sparse-ones and sparse-zeros inputs, so the wide AND/NOR/OR
+		// outputs take both values.
+		for i := range c.PIs {
+			for w := range p.Bits[i] {
+				v := logic.Word(rng.Uint64() | rng.Uint64() | rng.Uint64())
+				if (i+w)%2 == 1 {
+					v = logic.Word(rng.Uint64() & rng.Uint64() & rng.Uint64())
+				}
+				p.Bits[i][w] = v
+			}
+		}
+		goodByWord := make([][]logic.Word, W)
+		piByWord := make([][]logic.Word, W)
+		piWide := make([]logic.Word, len(c.PIs)*W)
+		for l := 0; l < W; l++ {
+			pi := make([]logic.Word, len(c.PIs))
+			for i := range pi {
+				pi[i] = p.Bits[i][l]
+				piWide[i*W+l] = pi[i]
+			}
+			gsim.Block(pi)
+			goodByWord[l] = append([]logic.Word(nil), gsim.Values()...)
+			piByWord[l] = pi
+		}
+		fsim.good.Block(piWide, W)
+		masks := make([]logic.Word, W)
+		for l := range masks {
+			masks[l] = p.TailMask(l)
+		}
+		diff := make([]logic.Word, W)
+		for _, fl := range faults {
+			clear(diff)
+			fsim.detectLanes(fl, 0, W, masks, diff, nil)
+			for l := 0; l < W; l++ {
+				want := fullResimDiff(c, fl, piByWord[l], goodByWord[l])
+				if diff[l] != want {
+					t.Fatalf("W=%d fault %v lane %d: packed walk %x, oracle %x", W, fl, l, diff[l], want)
+				}
+				var one [1]logic.Word
+				fsim.detectLanes(fl, l, 1, masks[l:l+1], one[:], nil)
+				if one[0] != want {
+					t.Fatalf("W=%d fault %v lane %d: scalar walk %x, oracle %x", W, fl, l, one[0], want)
+				}
+			}
+		}
+		res, ser := fsim.Run(p, faults), fsim.RunSerial(p, faults)
+		if ser.Detected == 0 {
+			t.Fatalf("W=%d: no fault detected; the stimulus does not exercise the wide gates", W)
+		}
+		for i := range faults {
+			if res.DetectedBy[i] != ser.DetectedBy[i] {
+				t.Fatalf("W=%d fault %v: Run first=%d, RunSerial first=%d", W, faults[i], res.DetectedBy[i], ser.DetectedBy[i])
+			}
+		}
 	}
 }
 

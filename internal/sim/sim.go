@@ -1,9 +1,9 @@
 // Package sim provides gate-level logic simulation over circuit netlists:
-// a compiled, levelized 64-way parallel-pattern simulator (the workhorse of
-// fault simulation) and a single-pattern event-driven simulator used for
-// baselines and incremental evaluation. Both consume the shared immutable
-// circuit.Compiled IR, so many simulator instances (one per worker
-// goroutine, one per request) share a single compiled graph.
+// a compiled, levelized 64-way parallel-pattern simulator (Simulator) and
+// its multi-word counterpart (Wide), which carries up to MaxLanes pattern
+// words per gate and backs fault simulation. Both consume the shared
+// immutable circuit.Compiled IR, so many simulator instances (one per
+// worker goroutine, one per request) share a single compiled graph.
 package sim
 
 import (
@@ -14,13 +14,14 @@ import (
 )
 
 // Simulator is a compiled parallel-pattern simulator bound to one netlist.
-// It reads the shared immutable IR and reuses its value buffer across
-// calls, so simulating many pattern blocks performs no allocation.
+// It reads the shared immutable IR and reuses its value and fanin buffers
+// across calls, so simulating many pattern blocks performs no allocation.
 type Simulator struct {
 	Net *circuit.Netlist
 	// C is the shared compiled IR; read-only.
 	C      *circuit.Compiled
 	values []logic.Word // one word (64 patterns) per gate
+	fanin  []logic.Word // scratch: one gate's fanin words (C.MaxFanin)
 }
 
 // New compiles a simulator for the netlist. The netlist must compile (it is
@@ -35,13 +36,14 @@ func New(n *circuit.Netlist) (*Simulator, error) {
 }
 
 // NewCompiled builds a simulator over an already-compiled IR. The IR is
-// shared, never copied; only the per-instance value buffer is allocated, so
+// shared, never copied; only the per-instance buffers are allocated, so
 // per-worker simulators are cheap.
 func NewCompiled(c *circuit.Compiled) *Simulator {
 	return &Simulator{
 		Net:    c.Net,
 		C:      c,
 		values: make([]logic.Word, c.NumGates()),
+		fanin:  make([]logic.Word, c.MaxFanin),
 	}
 }
 
@@ -94,7 +96,6 @@ func (s *Simulator) Block(piWords []logic.Word) []logic.Word {
 	if len(piWords) != c.NumPIs() {
 		panic(fmt.Sprintf("sim: got %d PI words, want %d", len(piWords), c.NumPIs()))
 	}
-	var faninBuf [8]logic.Word
 	for _, id32 := range c.Order {
 		id := int(id32)
 		t := c.Types[id]
@@ -103,9 +104,10 @@ func (s *Simulator) Block(piWords []logic.Word) []logic.Word {
 			s.values[id] = piWords[c.PIPos[id]]
 			continue
 		}
-		in := faninBuf[:0]
-		for _, f := range c.Fanin(id) {
-			in = append(in, s.values[f])
+		fanin := c.Fanin(id)
+		in := s.fanin[:len(fanin)]
+		for pin, f := range fanin {
+			in[pin] = s.values[f]
 		}
 		s.values[id] = Eval(t, in)
 	}

@@ -12,10 +12,6 @@ import (
 // full-width pass carries MaxLanes*logic.WordBits = 512 patterns.
 const MaxLanes = 8
 
-// maxFanin bounds the stack scratch of the lane evaluators; it matches the
-// fanin bound of the single-word simulator's faninBuf.
-const maxFanin = 8
-
 // EvalLanes computes one gate's output lanes from its fanin lanes. in holds
 // n fanin operands of act lanes each, flattened as in[pin*act+lane]; out
 // receives act lanes. Like Eval, gate types are validated at circuit.Compile
@@ -87,8 +83,8 @@ func EvalLanes(t circuit.GateType, in []logic.Word, n, act int, out []logic.Word
 // pass, so the per-gate dispatch and fanin gathering amortize over all
 // lanes. Values are stored strided — all lanes of a gate are contiguous at
 // values[g*W : g*W+W] — which is the layout the multi-word fault engine
-// reads in its hot loop. Like Simulator, a Wide owns only its value buffer;
-// the compiled IR is shared and read-only.
+// reads in its hot loop. Like Simulator, a Wide owns only its value and
+// fanin buffers; the compiled IR is shared and read-only.
 type Wide struct {
 	Net *circuit.Netlist
 	// C is the shared compiled IR; read-only.
@@ -96,6 +92,7 @@ type Wide struct {
 	// W is the lane stride; fixed at construction.
 	W      int
 	values []logic.Word // strided lanes: values[g*W+l]
+	fanin  []logic.Word // scratch: one gate's fanin lanes (C.MaxFanin*W)
 }
 
 // NewWideCompiled builds a W-lane simulator over an already-compiled IR.
@@ -109,6 +106,7 @@ func NewWideCompiled(c *circuit.Compiled, w int) *Wide {
 		C:      c,
 		W:      w,
 		values: make([]logic.Word, c.NumGates()*w),
+		fanin:  make([]logic.Word, c.MaxFanin*w),
 	}
 }
 
@@ -118,40 +116,7 @@ func NewWideCompiled(c *circuit.Compiled, w int) *Wide {
 // are stale and callers must not read them. The returned slice aliases
 // internal storage valid until the next call.
 func (s *Wide) Block(piWords []logic.Word, act int) []logic.Word {
-	c := s.C
-	W := s.W
-	if len(piWords) != c.NumPIs()*W {
-		panic(fmt.Sprintf("sim: got %d PI lane words, want %d", len(piWords), c.NumPIs()*W))
-	}
-	if act < 1 || act > W {
-		panic(fmt.Sprintf("sim: active lanes %d out of range [1,%d]", act, W))
-	}
-	var faninBuf [maxFanin * MaxLanes]logic.Word
-	vals := s.values
-	for _, id32 := range c.Order {
-		id := int(id32)
-		t := c.Types[id]
-		base := id * W
-		if t == circuit.Input || t == circuit.DFF {
-			// Full-scan: DFF outputs are pseudo-PIs.
-			pb := int(c.PIPos[id]) * W
-			for l := 0; l < act; l++ {
-				vals[base+l] = piWords[pb+l]
-			}
-			continue
-		}
-		fanin := c.Fanin(id)
-		in := faninBuf[:len(fanin)*act]
-		for pin, f := range fanin {
-			fb := int(f) * W
-			ib := pin * act
-			for l := 0; l < act; l++ {
-				in[ib+l] = vals[fb+l]
-			}
-		}
-		EvalLanes(t, in, len(fanin), act, vals[base:base+act])
-	}
-	return vals
+	return s.BlockRange(piWords, 0, act)
 }
 
 // BlockRange simulates only lanes [lo, hi) of the pattern block, leaving
@@ -169,13 +134,13 @@ func (s *Wide) BlockRange(piWords []logic.Word, lo, hi int) []logic.Word {
 		panic(fmt.Sprintf("sim: lane range [%d,%d) out of range [0,%d)", lo, hi, W))
 	}
 	n := hi - lo
-	var faninBuf [maxFanin * MaxLanes]logic.Word
-	vals := s.values
+	vals, scratch := s.values, s.fanin
 	for _, id32 := range c.Order {
 		id := int(id32)
 		t := c.Types[id]
 		base := id*W + lo
 		if t == circuit.Input || t == circuit.DFF {
+			// Full-scan: DFF outputs are pseudo-PIs.
 			pb := int(c.PIPos[id])*W + lo
 			for l := 0; l < n; l++ {
 				vals[base+l] = piWords[pb+l]
@@ -183,7 +148,7 @@ func (s *Wide) BlockRange(piWords []logic.Word, lo, hi int) []logic.Word {
 			continue
 		}
 		fanin := c.Fanin(id)
-		in := faninBuf[:len(fanin)*n]
+		in := scratch[:len(fanin)*n]
 		for pin, f := range fanin {
 			fb := int(f)*W + lo
 			ib := pin * n
